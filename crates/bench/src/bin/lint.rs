@@ -1,26 +1,23 @@
 //! Lint-gate benchmark: raw linter throughput over generated programs,
-//! gate throughput (lint + repair on deliberately broken inputs), the
-//! end-to-end overhead the gate adds to a fleet campaign (same campaign,
-//! gate on vs off), the abstract-interpretation overhead on top of the
-//! flow-insensitive lint, and the static-prior warmup race (DroidFuzz-S
-//! vs cold-start executions-to-first-deep-state).
+//! gate throughput (lint + repair on deliberately broken inputs, the
+//! corpus-import path), the abstract-interpretation overhead on top of
+//! the flow-insensitive lint, and the static-prior warmup race
+//! (DroidFuzz-S vs cold-start executions-to-first-deep-state).
 //!
 //! Scale: `DF_PROGS` (programs for the throughput phases, default 20000),
-//! `DF_HOURS` (campaign length for the overhead phase, default 0.5),
-//! `DF_SHARDS` (default 2), `DF_SYNC_MIN` (default 7.5), `DF_DEVICE`
-//! (default A1), `DF_WARMUP_MAX` (execution cap per warmup arm, default
-//! 4000), `DF_WARMUP_SEEDS` (campaigns per warmup arm, default 3),
-//! `DF_DEEP_DEPTH` (static depth that counts as "deep", default 2). The
-//! run emits three machine-readable JSON lines: `"bench":"lint_overhead"`,
-//! `"bench":"absint_overhead"`, and `"bench":"static_prior_warmup"`.
+//! `DF_DEVICE` (default A1), `DF_WARMUP_MAX` (execution cap per warmup
+//! arm, default 4000), `DF_WARMUP_SEEDS` (campaigns per warmup arm,
+//! default 3), `DF_DEEP_DEPTH` (static depth that counts as "deep",
+//! default 2). The run emits three machine-readable JSON lines:
+//! `"bench":"lint_overhead"`, `"bench":"absint_overhead"`, and
+//! `"bench":"static_prior_warmup"`.
 
 use droidfuzz::analysis::{
     absint_prog, gate_prog, gate_prog_static, lint_prog, static_depth, LintCounters, ModelSet,
 };
 use droidfuzz::config::FuzzerConfig;
 use droidfuzz::engine::FuzzingEngine;
-use droidfuzz::fleet::{Fleet, FleetConfig};
-use droidfuzz_bench::{env_f64, env_u64};
+use droidfuzz_bench::env_u64;
 use fuzzlang::gen::generate;
 use fuzzlang::prog::{ArgValue, Prog};
 use rand::rngs::StdRng;
@@ -50,9 +47,6 @@ fn corrupt(prog: &Prog) -> Prog {
 
 fn main() {
     let progs = env_u64("DF_PROGS", 20_000) as usize;
-    let hours = env_f64("DF_HOURS", 0.5);
-    let shards = env_u64("DF_SHARDS", 2).max(1) as usize;
-    let sync_min = env_f64("DF_SYNC_MIN", 7.5);
     let device = std::env::var("DF_DEVICE").unwrap_or_else(|_| "A1".into());
     let Some(spec) = catalog::by_id(&device) else {
         eprintln!("unknown device {device}; known: A1 A2 B C1 C2 D E");
@@ -96,47 +90,15 @@ fn main() {
         counters.repaired, counters.rejected
     );
 
-    // Phase 3: end-to-end overhead — the identical fleet campaign with
-    // the gate on vs off. Same seeds, same fault-free devices; the only
-    // difference is `lint_gate`.
-    let fleet_config = FleetConfig {
-        shards,
-        hours,
-        sync_interval_hours: sync_min / 60.0,
-        ..FleetConfig::default()
-    };
-    let arm = |gated: bool| {
-        let start = Instant::now();
-        let result = Fleet::new(fleet_config.clone()).run(&spec, move |seed| {
-            FuzzerConfig::droidfuzz(seed).with_lint_gate(gated)
-        });
-        (result, start.elapsed().as_secs_f64())
-    };
-    let (gated, gated_secs) = arm(true);
-    let (ungated, ungated_secs) = arm(false);
-    let overhead = gated_secs / ungated_secs.max(1e-9);
-    println!(
-        "end-to-end: gated {gated_secs:.2} s / ungated {ungated_secs:.2} s \
-         ({:.1}% overhead) over {shards} shards x {hours} h; gated campaign \
-         repaired {} and rejected {} programs",
-        (overhead - 1.0) * 100.0,
-        gated.lint_totals.repaired,
-        gated.lint_totals.rejected,
-    );
-
     println!(
         "{{\"bench\":\"lint_overhead\",\"device\":\"{device}\",\"progs\":{progs},\
          \"lint_progs_per_sec\":{lint_rate:.0},\"gate_progs_per_sec\":{gate_rate:.0},\
-         \"repaired\":{},\"rejected\":{},\"shards\":{shards},\"hours\":{hours},\
-         \"gated_wall_secs\":{gated_secs:.3},\"ungated_wall_secs\":{ungated_secs:.3},\
-         \"gated_executions\":{},\"ungated_executions\":{},\"overhead_ratio\":{overhead:.3}}}",
+         \"repaired\":{},\"rejected\":{}}}",
         counters.repaired,
         counters.rejected,
-        gated.executions,
-        ungated.executions,
     );
 
-    // Phase 4: abstract-interpretation overhead — absint_prog and the
+    // Phase 3: abstract-interpretation overhead — absint_prog and the
     // full static gate (absint + prerequisite repair) over the same
     // healthy inputs the raw linter saw, so the two rates are comparable.
     let models = ModelSet::for_kernel(engine.device().kernel_ref());
@@ -183,7 +145,7 @@ fn main() {
         static_counters.absint_rejected,
     );
 
-    // Phase 5: static-prior warmup — how many executions until a corpus
+    // Phase 4: static-prior warmup — how many executions until a corpus
     // seed reaches a deep driver state, with the model-derived relation
     // prior (DroidFuzz-S) vs a cold-start relation graph (DroidFuzz).
     // Depth is measured by the same absint scorer for both arms, so the

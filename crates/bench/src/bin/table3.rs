@@ -31,7 +31,7 @@ fn main() {
         let df = &chunk[0];
         let mut row = vec![df.device_id.clone(), format!("{:.0}", df.mean_final_coverage())];
         for other in &chunk[1..] {
-            let (_, p) = mann_whitney_u(&df.final_coverage, &other.final_coverage);
+            let (_, p) = mann_whitney_u(&df.final_coverage(), &other.final_coverage());
             let marker = if p >= 0.05 { "*" } else { "" };
             row.push(format!("{:.0}{marker}", other.mean_final_coverage()));
         }

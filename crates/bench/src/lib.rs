@@ -21,7 +21,7 @@
 //!   uses 10).
 
 use droidfuzz::config::FuzzerConfig;
-use droidfuzz::daemon::{CampaignResult, Daemon};
+use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult};
 use simdevice::firmware::FirmwareSpec;
 use std::sync::Mutex;
 
@@ -44,24 +44,33 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
 /// A named fuzzer-variant constructor.
 pub type MakeConfig = fn(u64) -> FuzzerConfig;
 
-/// Runs `variants × devices` campaigns in parallel (each campaign itself
-/// runs its repeats in parallel threads) and returns results in
-/// `(device, variant)` iteration order.
+/// Runs `variants × devices` campaigns in parallel and returns results in
+/// `(device, variant)` iteration order. Each campaign is an unsynced
+/// fleet: one shard per repeat, one slice spanning the whole campaign,
+/// no corpus/relation exchange — every engine behaves exactly as a
+/// standalone run, and the repeats run in parallel threads.
 pub fn run_matrix(
     devices: &[FirmwareSpec],
     variants: &[(&str, MakeConfig)],
     hours: f64,
     repeats: u64,
-) -> Vec<CampaignResult> {
-    let results: Mutex<Vec<(usize, CampaignResult)>> = Mutex::new(Vec::new());
+) -> Vec<FleetResult> {
+    let results: Mutex<Vec<(usize, FleetResult)>> = Mutex::new(Vec::new());
+    let campaign = Fleet::new(FleetConfig {
+        shards: repeats.max(1) as usize,
+        hours,
+        sync_interval_hours: hours,
+        sync: false,
+        ..FleetConfig::default()
+    });
     std::thread::scope(|scope| {
         for (di, spec) in devices.iter().enumerate() {
             for (vi, (_, make)) in variants.iter().enumerate() {
                 let results = &results;
+                let campaign = &campaign;
                 let make = *make;
                 scope.spawn(move || {
-                    let daemon = Daemon::new();
-                    let result = daemon.run_campaign(spec, make, hours, repeats);
+                    let result = campaign.run(spec, make);
                     results
                         .lock()
                         .expect("no poisoning")

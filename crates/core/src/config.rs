@@ -73,9 +73,10 @@ pub struct FuzzerConfig {
     pub decay_factor: f64,
     /// Run minimization on coverage-increasing inputs (costs executions).
     pub minimize: bool,
-    /// Lint-gate every program before execution or admission, repairing
-    /// fixable defects (on for all variants; the bench harness turns it
-    /// off to measure gate overhead).
+    /// Repair at import: lint every seed entering through
+    /// [`FuzzingEngine::import_corpus`](crate::engine::FuzzingEngine::import_corpus)
+    /// and repair fixable defects instead of dropping the seed (on for
+    /// all variants; off keeps the validate-and-reject import).
     pub lint_gate: bool,
     /// Use the static interface models: seed the relation graph with
     /// model-derived priors, gate programs through the abstract
@@ -133,8 +134,7 @@ impl FuzzerConfig {
         Self { fault_rates: Some(rates), ..self }
     }
 
-    /// The same configuration with the lint gate toggled (the bench
-    /// harness compares gated vs ungated campaigns).
+    /// The same configuration with repair at import toggled.
     pub fn with_lint_gate(self, lint_gate: bool) -> Self {
         Self { lint_gate, ..self }
     }

@@ -64,24 +64,6 @@ impl Corpus {
         }
     }
 
-    /// [`admit`](Self::admit) behind the lint gate: the program is linted
-    /// against `table`, auto-repaired if it has fixable errors, and only
-    /// then admitted. Returns whether a seed entered the corpus; gate
-    /// outcomes land in `counters`.
-    pub fn admit_gated(
-        &mut self,
-        mut prog: Prog,
-        new_signals: usize,
-        table: &DescTable,
-        counters: &mut LintCounters,
-    ) -> bool {
-        if !gate_prog(&mut prog, table, counters) || prog.is_empty() {
-            return false;
-        }
-        self.admit(prog, new_signals);
-        true
-    }
-
     /// Picks a seed for mutation, biased toward high-signal, rarely-picked
     /// seeds.
     pub fn pick<R: Rng>(&mut self, rng: &mut R) -> Option<&Prog> {
@@ -225,18 +207,13 @@ impl Corpus {
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .unwrap_or(1);
             match fuzzlang::text::parse_prog(&body, table) {
-                Ok(prog) if !prog.is_empty() => {
+                Ok(mut prog) if !prog.is_empty() => {
                     let admitted = match counters.as_deref_mut() {
-                        Some(c) => self.admit_gated(prog, signals, table, c),
-                        None => {
-                            let valid = prog.validate(table).is_ok();
-                            if valid {
-                                self.admit(prog, signals);
-                            }
-                            valid
-                        }
+                        Some(c) => gate_prog(&mut prog, table, c) && !prog.is_empty(),
+                        None => prog.validate(table).is_ok(),
                     };
                     if admitted {
+                        self.admit(prog, signals);
                         accepted += 1;
                     } else {
                         rejected += 1;

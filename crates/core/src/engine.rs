@@ -23,10 +23,11 @@ use crate::probe::{add_hal_descs, probe_device, ProbeReport};
 use crate::relation::RelationGraph;
 use crate::stats::Series;
 use crate::supervisor::{FailureClass, FaultCounters, Supervisor, SupervisorConfig};
-use droidfuzz_analysis::{gate_prog, gate_prog_static, static_depth, LintCounters, ModelSet};
+use droidfuzz_analysis::{gate_prog_static, lint_prog, static_depth, LintCounters, ModelSet};
 use fuzzlang::desc::DescTable;
 use fuzzlang::mutate::{crossover, mutate_n};
 use fuzzlang::prog::Prog;
+use fuzzlang::text::format_prog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdevice::faults::FaultPlan;
@@ -183,7 +184,8 @@ impl FuzzingEngine {
             }
             let n = self.rng.gen_range(1..=3);
             mutate_n(&mut prog, &self.table, n, &mut self.rng);
-            if prog.is_empty() || !self.lint_gate(&mut prog) {
+            self.debug_assert_lint_clean(&prog, "mutation");
+            if prog.is_empty() || !self.absint_gate(&mut prog) {
                 self.arena.put_prog(prog);
                 return self.generate_fresh();
             }
@@ -199,34 +201,38 @@ impl FuzzingEngine {
         } else {
             random_generate(&self.table, self.config.max_prog_calls, &mut self.rng)
         };
-        if !self.lint_gate(&mut prog) {
-            // Unrepairable fresh program (generator soundness bug): skip
-            // the iteration rather than execute it.
+        self.debug_assert_lint_clean(&prog, "generation");
+        if !self.absint_gate(&mut prog) {
+            // Every modeled call provably fails and no prerequisite chain
+            // fixes it: skip the iteration rather than execute it.
             return Prog::new();
         }
         prog
     }
 
-    /// Runs the static-analysis gate over `prog` in place: `true` lets the
-    /// (possibly repaired) program through, `false` means it carried
-    /// unrepairable errors. With static models loaded (DroidFuzz-S) the
-    /// abstract-interpretation reachability gate runs after the lint
-    /// gate: programs whose modeled driver calls all provably fail get
-    /// prerequisite transitions inserted, and unfixable ones are
-    /// rejected. Both passes are deterministic and consume no RNG, so
-    /// gated campaigns replay identically. A disabled gate passes
-    /// everything.
-    fn lint_gate(&mut self, prog: &mut Prog) -> bool {
-        if !self.config.lint_gate {
-            return true;
-        }
-        if !gate_prog(prog, &self.table, &mut self.lint) {
-            return false;
-        }
+    /// Runs the abstract-interpretation reachability gate over `prog` in
+    /// place when static models are loaded (DroidFuzz-S): programs whose
+    /// modeled driver calls all provably fail get prerequisite
+    /// transitions inserted, and unfixable ones are rejected (`false`).
+    /// The pass is deterministic and consumes no RNG, so gated campaigns
+    /// replay identically. Without models everything passes.
+    fn absint_gate(&mut self, prog: &mut Prog) -> bool {
         match &self.models {
             Some(models) => gate_prog_static(prog, &self.table, models, &mut self.lint),
             None => true,
         }
+    }
+
+    /// The engine's own producers (generator, mutators, crossover,
+    /// minimizer) emit lint-clean programs by construction — the property
+    /// tests in `tests/producers.rs` prove it on every device table — so
+    /// the loop runs no lint gate. Debug builds still check each site.
+    fn debug_assert_lint_clean(&self, prog: &Prog, producer: &str) {
+        debug_assert!(
+            !lint_prog(prog, &self.table).has_errors(),
+            "{producer} produced a program with lint errors:\n{}",
+            format_prog(prog, &self.table)
+        );
     }
 
     /// Extra seed energy from the static depth score (DroidFuzz-S):
@@ -319,11 +325,13 @@ impl FuzzingEngine {
                     } else {
                         prog.clone()
                     };
-                    // Gate the (possibly minimized) program before it can
-                    // teach the relation graph or seed the corpus:
-                    // minimization can strip a producer whose consumer
-                    // survived, and repair re-points or re-inserts it.
-                    if self.lint_gate(&mut admitted) {
+                    // Minimization removes a producer together with every
+                    // call that depends on it, so the admitted program is
+                    // as lint-clean as the one that ran. The absint gate
+                    // still vets it before it can teach the relation graph
+                    // or seed the corpus.
+                    self.debug_assert_lint_clean(&admitted, "minimization");
+                    if self.absint_gate(&mut admitted) {
                         if self.config.relations {
                             self.learn_from(&admitted);
                         }
@@ -590,7 +598,9 @@ impl FuzzingEngine {
 
     /// Restores seeds from a previous session's [`export_corpus`] dump;
     /// returns `(accepted, rejected)` against the current vocabulary.
-    /// With the lint gate enabled, seeds carrying fixable defects are
+    /// This is the trust boundary every outside program crosses (hub
+    /// pulls, snapshot/WAL restore, corpus files): with
+    /// [`FuzzerConfig::lint_gate`] on, seeds carrying fixable defects are
     /// auto-repaired instead of dropped (counted in
     /// [`lint_counters`](Self::lint_counters)).
     ///
@@ -629,10 +639,9 @@ impl FuzzingEngine {
         self.supervisor.counters()
     }
 
-    /// Cumulative lint-gate outcomes (`rejected` / `repaired`). Zero on a
-    /// healthy campaign: the generator and mutators are sound under the
-    /// linter, so the gate only fires on imported or minimized programs
-    /// that actually carried defects.
+    /// Cumulative gate outcomes: lint `rejected` / `repaired` counts from
+    /// corpus import, and the absint gate's counts (DroidFuzz-S). The
+    /// lint half stays zero unless imported seeds carried defects.
     pub fn lint_counters(&self) -> LintCounters {
         self.lint
     }
@@ -749,18 +758,6 @@ mod tests {
         assert!(restored > 0, "seeds should survive a restart");
         assert_eq!(rejected, 0, "a clean dump has no rejects");
         assert_eq!(second.corpus().len(), restored);
-    }
-
-    #[test]
-    fn lint_gate_is_silent_on_a_healthy_campaign() {
-        let mut engine = quick_engine(FuzzerConfig::droidfuzz(7));
-        engine.run_iterations(300);
-        assert_eq!(
-            engine.lint_counters().total(),
-            0,
-            "generator/mutator output should pass the linter untouched: {:?}",
-            engine.lint_counters()
-        );
     }
 
     #[test]

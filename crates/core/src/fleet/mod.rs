@@ -190,11 +190,15 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
+    /// The shards' final coverage values, by shard id (one per repeat of
+    /// an unsynced campaign).
+    pub fn final_coverage(&self) -> Vec<f64> {
+        self.shards.iter().map(|s| s.final_coverage).collect()
+    }
+
     /// Mean of the shards' final coverage values.
     pub fn mean_final_coverage(&self) -> f64 {
-        crate::stats::mean(
-            &self.shards.iter().map(|s| s.final_coverage).collect::<Vec<_>>(),
-        )
+        crate::stats::mean(&self.final_coverage())
     }
 }
 

@@ -3,9 +3,10 @@
 //! and an [`EventBus`] handle for telemetry.
 //!
 //! Shard slices run on worker threads; everything that touches the hub
-//! ([`publish`](Shard::publish), [`pull`](Shard::pull)) runs on the
-//! orchestrator thread, sequentially in shard order, which is what makes
-//! a whole fleet campaign deterministic for a fixed seed.
+//! (applying [`prepare_update`](Shard::prepare_update)'s batch,
+//! [`pull`](Shard::pull)) runs on the orchestrator thread, sequentially
+//! in shard order, which is what makes a whole fleet campaign
+//! deterministic for a fixed seed.
 
 use super::events::{EventBus, FleetEvent};
 use super::hub::CorpusHub;
@@ -250,24 +251,12 @@ impl Shard {
         totals
     }
 
-    /// Publishes this shard's corpus, relation graph, and observed kernel
-    /// blocks to the hub. Returns seeds newly accepted by the hub.
-    /// (Crashes sync separately, fleet-wide, via
-    /// [`CorpusHub::sync_crashes`].)
-    pub fn publish(&mut self, hub: &mut CorpusHub) -> usize {
-        let accepted = hub.publish_corpus(self.id, &self.engine.export_corpus());
-        hub.publish_relations(self.engine.relation_graph());
-        hub.publish_coverage(self.engine.observed_blocks());
-        self.mark_published();
-        accepted
-    }
-
     /// Assembles this shard's batched hub traffic since the last update
-    /// (or full [`publish`](Self::publish)): the corpus delta by admission
-    /// sequence, the newly observed kernel blocks, and — only when the
-    /// graph's revision moved — a relation-graph clone. Runs on the worker
-    /// thread at the end of a slice, so the orchestrator's sequential sync
-    /// section only applies pre-built messages.
+    /// (or hub import): the corpus delta by admission sequence, the newly
+    /// observed kernel blocks, and — only when the graph's revision moved
+    /// — a relation-graph clone. Runs on the worker thread at the end of
+    /// a slice, so the orchestrator's sequential sync section only applies
+    /// pre-built messages.
     pub fn prepare_update(&mut self) -> ShardUpdate {
         let corpus_delta = self.engine.export_corpus_since(self.corpus_pub_seq);
         self.corpus_pub_seq = self.engine.corpus_seq();
@@ -284,7 +273,7 @@ impl Shard {
     }
 
     /// Fast-forwards the update cursors to the engine's current state —
-    /// after a full publish or a hub import, nothing current is pending.
+    /// after a hub import, nothing current is pending.
     fn mark_published(&mut self) {
         self.corpus_pub_seq = self.engine.corpus_seq();
         self.blocks_pub = self.engine.observed_blocks_len();
@@ -386,7 +375,7 @@ mod tests {
         a.run_slice(0, 0); // no-op slice, just exercises the heartbeat path
         a.engine.run_iterations(150);
         assert!(!a.engine().corpus().is_empty());
-        let published = a.publish(&mut hub);
+        let published = hub.apply_update(&a.prepare_update());
         assert!(published > 0);
         let before = b.engine().corpus().len();
         let pulled = b.pull(&hub);
@@ -412,7 +401,7 @@ mod tests {
         let execs = shard.engine().executions();
         assert!(execs > 0);
         let mut hub = CorpusHub::new(512);
-        assert!(shard.publish(&mut hub) > 0);
+        assert!(hub.apply_update(&shard.prepare_update()) > 0);
         let replacement = FuzzingEngine::new(spec.clone().boot(), FuzzerConfig::droidfuzz(7));
         shard.replace_engine(replacement, 5_000_000);
         assert_eq!(shard.restarts(), 1);
@@ -468,7 +457,7 @@ mod tests {
         a.engine.run_iterations(400);
         assert!(a.engine().relation_graph().edge_count() > 0);
         let mut hub = CorpusHub::new(512);
-        a.publish(&mut hub);
+        hub.apply_update(&a.prepare_update());
         let before = b.engine().relation_graph().edge_count();
         b.pull(&hub);
         assert!(

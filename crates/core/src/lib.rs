@@ -21,21 +21,22 @@
 //!    initialization.
 //!
 //! The remaining modules implement the fuzzing harness of §IV-A
-//! ([`engine`], [`exec`], [`daemon`] — with [`supervisor`] wrapping every
-//! execution in a watchdog/retry/recovery layer against injected device
-//! faults, and [`fleet`] scaling the daemon to sharded multi-engine
-//! campaigns with corpus/relation sync, checkpoint/resume, self-healing
-//! shard restarts, and a metrics bus — checkpoints made crash-safe on
-//! disk by the [`store`] layer's checksummed snapshots, write-ahead
-//! journal, and torn-write recovery), corpus and crash management
-//! ([`corpus`], [`crashes`], [`minimize`]), the evaluation baselines
-//! ([`baselines`]: syzkaller-like and Difuze-like fuzzers plus the
-//! DroidFuzz-D / ablation configurations in [`config`]), and the
-//! statistics of §V ([`stats`], including the Mann-Whitney U test).
-//! Every program-producing path (generation, mutation, minimization,
-//! corpus import, snapshot restore) runs behind the static-analysis gate
-//! of the re-exported [`analysis`] crate, which lints, auto-repairs, and
-//! counts defective programs before they reach the device.
+//! ([`engine`], [`exec`] — with [`supervisor`] wrapping every execution
+//! in a watchdog/retry/recovery layer against injected device faults,
+//! and [`fleet`] playing the paper's daemon: one engine per device, from
+//! unsynced repeated campaigns to sharded multi-engine campaigns with
+//! corpus/relation sync, checkpoint/resume, self-healing shard restarts,
+//! and a metrics bus — checkpoints made crash-safe on disk by the
+//! [`store`] layer's checksummed snapshots, write-ahead journal, and
+//! torn-write recovery), corpus and crash management ([`corpus`],
+//! [`crashes`], [`minimize`]), the evaluation baselines ([`baselines`]:
+//! syzkaller-like and Difuze-like fuzzers plus the DroidFuzz-D /
+//! ablation configurations in [`config`]), and the statistics of §V
+//! ([`stats`], including the Mann-Whitney U test). Programs from outside
+//! the engine (corpus import, hub pulls, snapshot restore) cross the
+//! static-analysis gate of the re-exported [`analysis`] crate, which
+//! lints, auto-repairs, and counts defective programs; the engine's own
+//! generator, mutators and minimizer are lint-clean by construction.
 //!
 //! ```no_run
 //! use droidfuzz::config::FuzzerConfig;
@@ -56,7 +57,6 @@ pub mod baselines;
 pub mod config;
 pub mod corpus;
 pub mod crashes;
-pub mod daemon;
 pub mod descs;
 pub mod engine;
 pub mod exec;

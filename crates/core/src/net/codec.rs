@@ -1,11 +1,11 @@
 //! The wire codec: length-prefixed, CRC-framed messages.
 //!
-//! Frames reuse the write-ahead journal's record framing byte for byte
-//! (`rec <seq> <len> <crc32 hex>\n<payload>\n`, [`crate::store::crc32`])
-//! so a captured stream is auditable by `droidfuzz-lint` with the same
-//! machinery that audits WALs. A stream capture file is
-//! [`NET_STREAM_HEADER`] followed by frames with strictly sequential
-//! per-connection sequence numbers:
+//! Frames (`rec <seq> <len> <crc32 hex>\n<payload>\n`,
+//! [`crate::store::crc32`]) are also the write-ahead journal's records —
+//! one frame codec serves both — so a captured stream is auditable by
+//! `droidfuzz-lint` with the same machinery that audits WALs. A stream
+//! capture file is [`NET_STREAM_HEADER`] followed by frames with strictly
+//! sequential per-connection sequence numbers:
 //!
 //! ```text
 //! # droidfuzz-net stream v1
@@ -29,6 +29,7 @@ use crate::config::FuzzerConfig;
 use crate::crashes::CrashRecord;
 use crate::fleet::snapshot::{crash_fields, escape, parse_crash_line, unescape};
 use crate::store::crc32;
+use crate::store::delta::{decode_counters, encode_counters};
 use crate::supervisor::FaultCounters;
 use droidfuzz_analysis::LintCounters;
 
@@ -255,7 +256,8 @@ pub enum Message {
 // Frame layer
 // ---------------------------------------------------------------------
 
-/// Frames `payload` as connection frame `seq` (journal record framing).
+/// Frames `payload` as frame `seq` (a connection frame or a journal
+/// record).
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame =
         format!("rec {seq} {} {:08x}\n", payload.len(), crc32(payload)).into_bytes();
@@ -325,30 +327,6 @@ fn parse_opt_field(value: &str) -> Option<String> {
     (value != "-").then(|| unescape(value))
 }
 
-fn encode_counter_line<'a>(
-    out: &mut String,
-    keyword: &str,
-    entries: impl IntoIterator<Item = (&'a str, u64)>,
-) {
-    out.push_str(keyword);
-    for (key, value) in entries {
-        out.push_str(&format!(" {key}={value}"));
-    }
-    out.push('\n');
-}
-
-fn decode_counter_tokens(rest: &str, mut set: impl FnMut(&str, u64) -> bool) -> Option<()> {
-    for token in rest.split(' ') {
-        if token.is_empty() {
-            continue;
-        }
-        let (key, value) = token.split_once('=')?;
-        let value: u64 = value.parse().ok()?;
-        let _ = set(key, value);
-    }
-    Some(())
-}
-
 fn encode_stat_line(out: &mut String, s: &WireShardStats) {
     out.push_str(&format!(
         "stat shard={} heartbeats={} execs={} clock={} corpus={} coverage={} \
@@ -376,7 +354,7 @@ fn encode_stat_line(out: &mut String, s: &WireShardStats) {
 
 fn decode_stat_line(rest: &str) -> Option<WireShardStats> {
     let mut s = WireShardStats::default();
-    decode_counter_tokens(rest, |key, value| {
+    decode_counters(rest, |key, value| {
         if let Some(fault_key) = key.strip_prefix("f.") {
             return s.faults.set(fault_key, value);
         }
@@ -475,7 +453,8 @@ pub fn encode_message(msg: &Message) -> String {
         Message::RoundDone { round, stats, net } => {
             out.push_str("msg round-done\n");
             out.push_str(&format!("round {round}\n"));
-            encode_counter_line(&mut out, "net", net.entries());
+            out.push_str(&encode_counters("net", net.entries()));
+            out.push('\n');
             for s in stats {
                 encode_stat_line(&mut out, s);
             }
@@ -531,7 +510,7 @@ impl<'a> Lines<'a> {
                     lines.stats.push(stat);
                 }
                 "net" => {
-                    decode_counter_tokens(value, |k, v| lines.net.set(k, v))
+                    decode_counters(value, |k, v| lines.net.set(k, v))
                         .ok_or_else(|| NetError::Garbage(format!("bad net line {line:?}")))?;
                 }
                 _ => {

@@ -78,7 +78,9 @@ pub enum FleetDelta {
     },
 }
 
-fn encode_counters<'a>(
+/// Encodes a counter line `<keyword> k=v k=v ...` — the one `k=v`
+/// counter codec, shared by journal deltas and wire messages.
+pub(crate) fn encode_counters<'a>(
     keyword: &str,
     entries: impl IntoIterator<Item = (&'a str, u64)>,
 ) -> String {
@@ -91,7 +93,7 @@ fn encode_counters<'a>(
 
 /// Parses `k=v` tokens onto `set`; unknown keys are tolerated (forward
 /// compatibility), malformed tokens fail the decode.
-fn decode_counters(rest: &str, mut set: impl FnMut(&str, u64) -> bool) -> Option<()> {
+pub(crate) fn decode_counters(rest: &str, mut set: impl FnMut(&str, u64) -> bool) -> Option<()> {
     for token in rest.split(' ') {
         if token.is_empty() {
             continue;

@@ -11,6 +11,9 @@
 //! ...
 //! ```
 //!
+//! The frames are the wire codec's ([`encode_frame`]/[`decode_frame`]),
+//! so one implementation writes and validates both (a record is bounded
+//! by the codec's 16 MiB frame limit; one delta is far smaller).
 //! Sequence numbers start at 0 and increment by 1, so a scan can tell a
 //! torn tail from a spliced file. Scanning is *prefix-tolerant*: it
 //! accepts every valid frame up to the first corruption, then reports
@@ -18,7 +21,8 @@
 //! records that were never durable, never the whole journal.
 
 use super::medium::StorageMedium;
-use super::{crc32, StoreError};
+use super::StoreError;
+use crate::net::{decode_frame, encode_frame};
 
 /// First line of every journal file (before the `base=` field).
 pub const JOURNAL_HEADER: &str = "# droidfuzz-store journal v1";
@@ -69,78 +73,31 @@ pub struct JournalScan {
 /// file; a corrupt frame drops only the tail.
 pub fn decode_journal(bytes: &[u8], base: u64) -> JournalScan {
     let mut scan = JournalScan { base, ..Default::default() };
-    let header_end = match bytes.iter().position(|&b| b == b'\n') {
-        Some(end) => end,
-        None => {
-            scan.dropped_bytes = bytes.len() as u64;
-            scan.truncated = true;
-            return scan;
-        }
-    };
-    let header_ok = std::str::from_utf8(&bytes[..header_end])
-        .ok()
-        .and_then(|line| line.strip_prefix(JOURNAL_HEADER))
-        .map(str::trim)
-        .and_then(|rest| rest.strip_prefix("base="))
-        .and_then(|v| v.parse::<u64>().ok())
-        == Some(base);
-    if !header_ok {
-        scan.dropped_bytes = bytes.len() as u64;
-        scan.truncated = true;
-        return scan;
-    }
-
-    let mut pos = header_end + 1;
-    while pos < bytes.len() {
-        let frame_start = pos;
-        let fail = |scan: &mut JournalScan| {
-            scan.dropped_bytes = (bytes.len() - frame_start) as u64;
-            scan.truncated = true;
-        };
-        let Some(line_end) = bytes[pos..].iter().position(|&b| b == b'\n').map(|e| pos + e)
-        else {
-            fail(&mut scan);
-            return scan;
-        };
-        let Some((seq, len, crc)) = std::str::from_utf8(&bytes[pos..line_end])
+    let header_end = bytes.iter().position(|&b| b == b'\n').filter(|&end| {
+        std::str::from_utf8(&bytes[..end])
             .ok()
-            .and_then(parse_frame_line)
-        else {
-            fail(&mut scan);
-            return scan;
-        };
-        let payload_start = line_end + 1;
-        if seq != scan.records.len() as u64 || payload_start + len + 1 > bytes.len() {
-            fail(&mut scan);
-            return scan;
+            .and_then(|line| line.strip_prefix(JOURNAL_HEADER))
+            .map(str::trim)
+            .and_then(|rest| rest.strip_prefix("base="))
+            .and_then(|v| v.parse::<u64>().ok())
+            == Some(base)
+    });
+    let mut pos = header_end.map_or(0, |end| end + 1);
+    while header_end.is_some() && pos < bytes.len() {
+        match decode_frame(&bytes[pos..]) {
+            Ok((seq, payload, used)) if seq == scan.records.len() as u64 => {
+                let Ok(payload) = String::from_utf8(payload) else { break };
+                scan.records.push(JournalRecord { seq, payload });
+                pos += used;
+            }
+            _ => break,
         }
-        let payload = &bytes[payload_start..payload_start + len];
-        if crc32(payload) != crc || bytes[payload_start + len] != b'\n' {
-            fail(&mut scan);
-            return scan;
-        }
-        let Ok(payload) = std::str::from_utf8(payload) else {
-            fail(&mut scan);
-            return scan;
-        };
-        scan.records.push(JournalRecord { seq, payload: payload.to_owned() });
-        pos = payload_start + len + 1;
+    }
+    if header_end.is_none() || pos < bytes.len() {
+        scan.dropped_bytes = (bytes.len() - pos) as u64;
+        scan.truncated = true;
     }
     scan
-}
-
-fn parse_frame_line(line: &str) -> Option<(u64, usize, u32)> {
-    let mut parts = line.split(' ');
-    if parts.next() != Some("rec") {
-        return None;
-    }
-    let seq = parts.next()?.parse().ok()?;
-    let len = parts.next()?.parse().ok()?;
-    let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((seq, len, crc))
 }
 
 /// An open journal being appended to.
@@ -176,12 +133,7 @@ impl<M: StorageMedium> Journal<M> {
     /// sequence number.
     pub fn append(&mut self, payload: &str) -> Result<u64, StoreError> {
         let seq = self.next_seq;
-        let bytes = payload.as_bytes();
-        let mut frame =
-            format!("rec {seq} {} {:08x}\n", bytes.len(), crc32(bytes)).into_bytes();
-        frame.extend_from_slice(bytes);
-        frame.push(b'\n');
-        self.medium.append(&self.name, &frame)?;
+        self.medium.append(&self.name, &encode_frame(seq, payload.as_bytes()))?;
         self.medium.sync(&self.name)?;
         self.next_seq += 1;
         Ok(seq)
@@ -289,12 +241,8 @@ mod tests {
         let mut journal = Journal::create(medium.clone(), 0).unwrap();
         journal.append("only").unwrap();
         // Forge a frame with seq 5 (skipping 1..4) and a valid CRC.
-        let payload = b"forged";
-        let frame = format!("rec 5 {} {:08x}\n", payload.len(), crc32(payload));
         let mut m = medium.clone();
-        m.append(&journal_name(0), frame.as_bytes()).unwrap();
-        m.append(&journal_name(0), payload).unwrap();
-        m.append(&journal_name(0), b"\n").unwrap();
+        m.append(&journal_name(0), &encode_frame(5, b"forged")).unwrap();
         let scan = Journal::scan(&medium, 0).unwrap();
         assert!(scan.truncated);
         assert_eq!(scan.records.len(), 1);

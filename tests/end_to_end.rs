@@ -3,7 +3,7 @@
 //! together.
 
 use droidfuzz_repro::droidfuzz::baselines::{difuze, syz};
-use droidfuzz_repro::droidfuzz::daemon::Daemon;
+use droidfuzz_repro::droidfuzz::fleet::{Fleet, FleetConfig};
 use droidfuzz_repro::droidfuzz::{FuzzerConfig, FuzzingEngine};
 use droidfuzz_repro::simdevice::catalog;
 
@@ -72,12 +72,18 @@ fn difuze_extraction_and_generation_work() {
 }
 
 #[test]
-fn daemon_campaign_is_reproducible_per_seed() {
-    let daemon = Daemon::new();
+fn repeated_campaign_is_reproducible_per_seed() {
+    let repeats = Fleet::new(FleetConfig {
+        shards: 2,
+        hours: 0.05,
+        sync_interval_hours: 0.05,
+        sync: false,
+        ..FleetConfig::default()
+    });
     let spec = catalog::device_e();
-    let a = daemon.run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 2);
-    let b = daemon.run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 2);
-    assert_eq!(a.final_coverage, b.final_coverage, "same seeds → same results");
+    let a = repeats.run(&spec, FuzzerConfig::droidfuzz);
+    let b = repeats.run(&spec, FuzzerConfig::droidfuzz);
+    assert_eq!(a.final_coverage(), b.final_coverage(), "same seeds → same results");
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! Fleet orchestration integration tests: determinism of sharded synced
 //! campaigns, fault-injection kill/resume through the text snapshot, and
-//! the daemon's single-slice special case riding the same path.
+//! the unsynced single-slice repeated campaign riding the same path.
 
 use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
-use droidfuzz_repro::droidfuzz::daemon::Daemon;
 use droidfuzz_repro::droidfuzz::fleet::{Fleet, FleetConfig, FleetResult, SNAPSHOT_HEADER};
 use droidfuzz_repro::simdevice::catalog;
 use droidfuzz_repro::simdevice::faults::{FaultProfile, FaultRates};
@@ -307,32 +306,58 @@ proptest! {
     }
 }
 
-/// The daemon's repeated-campaign entry point is the unsynced single-slice
-/// special case of the fleet path and keeps its aggregate shape.
+/// Unsynced repeats: one shard per repeat, one slice spanning the whole
+/// campaign (the evaluation's repeated-campaign shape).
+fn repeats_config(repeats: usize, threads: usize) -> FleetConfig {
+    FleetConfig {
+        shards: repeats,
+        hours: 0.05,
+        sync_interval_hours: 0.05,
+        sync: false,
+        threads,
+        ..FleetConfig::default()
+    }
+}
+
+/// A repeated campaign is the unsynced single-slice special case of the
+/// fleet path and keeps its aggregate shape.
 #[test]
-fn daemon_campaign_rides_the_fleet_path() {
+fn repeated_campaign_rides_the_fleet_path() {
     let result =
-        Daemon::new().run_campaign(&catalog::device_e(), FuzzerConfig::droidfuzz, 0.05, 2);
+        Fleet::new(repeats_config(2, 0)).run(&catalog::device_e(), FuzzerConfig::droidfuzz);
     assert_eq!(result.device_id, "E");
     assert_eq!(result.fuzzer, "DroidFuzz");
-    assert_eq!(result.final_coverage.len(), 2);
+    assert_eq!(result.final_coverage().len(), 2);
+    assert_eq!(result.rounds_completed, 1, "one slice spans the whole campaign");
+    assert!(result.mean_final_coverage() > 0.0);
     assert!(result.executions > 0);
     assert!(!result.mean_series.is_empty());
     assert_eq!(result.fault_totals.total(), 0, "reliable by default");
 }
 
-/// The daemon's thread cap is plumbed through to the fleet and keeps the
-/// campaign results bit-identical.
+/// Capping the worker pool of a repeated campaign keeps its results
+/// bit-identical.
 #[test]
-fn daemon_thread_cap_does_not_change_results() {
+fn repeated_campaign_thread_cap_does_not_change_results() {
     let spec = catalog::device_e();
-    let wide = Daemon::new().run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 3);
-    let narrow =
-        Daemon::new().with_threads(1).run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 3);
-    assert_eq!(wide.final_coverage, narrow.final_coverage);
+    let wide = Fleet::new(repeats_config(3, 0)).run(&spec, FuzzerConfig::droidfuzz);
+    let narrow = Fleet::new(repeats_config(3, 1)).run(&spec, FuzzerConfig::droidfuzz);
+    assert_eq!(wide.final_coverage(), narrow.final_coverage());
     assert_eq!(wide.executions, narrow.executions);
     assert_eq!(
         wide.crashes.iter().map(|c| &c.title).collect::<Vec<_>>(),
         narrow.crashes.iter().map(|c| &c.title).collect::<Vec<_>>()
     );
+}
+
+/// Under a flaky profile every repeat sees injected faults, and coverage
+/// still accrues.
+#[test]
+fn repeated_campaign_under_flaky_profile_reports_faults_and_progresses() {
+    let result = Fleet::new(repeats_config(2, 0)).run(&catalog::device_e(), |seed| {
+        FuzzerConfig::droidfuzz(seed).with_fault_profile(FaultProfile::Flaky)
+    });
+    assert!(result.fault_totals.injected > 0, "flaky devices see injected faults");
+    assert!(result.mean_final_coverage() > 0.0, "coverage still accrues under faults");
+    assert!(result.executions > 0);
 }
