@@ -21,6 +21,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct RelationGraph {
     vertex_weight: Vec<f64>,
+    /// `Σ vertex_weight`, summed once in id order (the weights are fixed).
+    total_weight: f64,
     /// `out[a][b] = w(a,b)`.
     out: BTreeMap<usize, BTreeMap<usize, f64>>,
     edge_count: usize,
@@ -34,8 +36,16 @@ impl RelationGraph {
     /// Initializes the graph from a description table: all vertices with
     /// their description weights, and `E = ∅`.
     pub fn new(table: &DescTable) -> Self {
-        let vertex_weight = table.iter().map(|(_, d)| d.weight.max(1e-6)).collect();
-        Self { vertex_weight, out: BTreeMap::new(), edge_count: 0, learn_events: 0, revision: 0 }
+        let vertex_weight: Vec<f64> = table.iter().map(|(_, d)| d.weight.max(1e-6)).collect();
+        let total_weight = vertex_weight.iter().sum();
+        Self {
+            vertex_weight,
+            total_weight,
+            out: BTreeMap::new(),
+            edge_count: 0,
+            learn_events: 0,
+            revision: 0,
+        }
     }
 
     /// Number of vertices.
@@ -150,8 +160,7 @@ impl RelationGraph {
 
     /// Samples a base invocation by vertex weight.
     pub fn sample_base<R: Rng>(&self, rng: &mut R) -> DescId {
-        let total: f64 = self.vertex_weight.iter().sum();
-        let mut x = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+        let mut x = rng.gen_range(0.0..self.total_weight.max(f64::MIN_POSITIVE));
         for (i, &w) in self.vertex_weight.iter().enumerate() {
             if x < w {
                 return DescId(i);

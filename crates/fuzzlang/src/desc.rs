@@ -186,6 +186,12 @@ impl CallDesc {
 pub struct DescTable {
     descs: Vec<CallDesc>,
     by_name: HashMap<String, DescId>,
+    /// Producer index: every wanted kind that accepts some description's
+    /// product → those descriptions' ids, ascending. A product `a:b:c` is
+    /// accepted by exactly `a`, `a:b` and `a:b:c` (see
+    /// [`ResourceKind::accepts`]), so the keys are finite and `add` keeps
+    /// the index current.
+    producers: HashMap<String, Vec<DescId>>,
 }
 
 impl DescTable {
@@ -203,6 +209,13 @@ impl DescTable {
         let id = DescId(self.descs.len());
         let prev = self.by_name.insert(desc.name.clone(), id);
         assert!(prev.is_none(), "duplicate call description {}", desc.name);
+        if let Some(produced) = &desc.produces {
+            let produced = produced.0.as_str();
+            let cuts = produced.match_indices(':').map(|(at, _)| at);
+            for end in cuts.chain([produced.len()]) {
+                self.producers.entry(produced[..end].to_owned()).or_default().push(id);
+            }
+        }
         self.descs.push(desc);
         id
     }
@@ -232,12 +245,10 @@ impl DescTable {
         self.descs.iter().enumerate().map(|(i, d)| (DescId(i), d))
     }
 
-    /// Ids of descriptions that can produce a resource accepted as `kind`.
-    pub fn producers_of(&self, kind: &ResourceKind) -> Vec<DescId> {
-        self.iter()
-            .filter(|(_, d)| d.produces.as_ref().is_some_and(|p| kind.accepts(p)))
-            .map(|(id, _)| id)
-            .collect()
+    /// Ids of descriptions that can produce a resource accepted as `kind`,
+    /// ascending.
+    pub fn producers_of(&self, kind: &ResourceKind) -> &[DescId] {
+        self.producers.get(kind.0.as_str()).map_or(&[], Vec::as_slice)
     }
 
     /// Ids of HAL-method descriptions.
@@ -275,6 +286,24 @@ mod tests {
         // Generic "fd" wanted kind also matches.
         assert_eq!(t.producers_of(&"fd".into()), vec![open]);
         assert!(t.producers_of(&"handle".into()).is_empty());
+    }
+
+    #[test]
+    fn producer_index_agrees_with_accepts_on_separator_edge_cases() {
+        let kinds = ["", ":", "fd", "fd:", "fd::", "fd::x", "fd:x:", "é", "é:ü"];
+        let mut t = DescTable::new();
+        for (i, kind) in kinds.iter().enumerate() {
+            let kind = Some(ResourceKind::from(*kind));
+            t.add(CallDesc::new(format!("p{i}"), CallKind::Syscall(SyscallTemplate::Dup), vec![], kind));
+        }
+        for wanted in kinds.map(ResourceKind::from) {
+            let scan: Vec<DescId> = t
+                .iter()
+                .filter(|(_, d)| d.produces.as_ref().is_some_and(|p| wanted.accepts(p)))
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(t.producers_of(&wanted), scan, "producers of {wanted:?}");
+        }
     }
 
     #[test]

@@ -70,31 +70,24 @@ fn append_call_depth<R: Rng>(
     if depth > MAX_PRODUCER_DEPTH {
         return None;
     }
-    let desc = table.get(desc_id).clone();
+    let desc = table.get(desc_id);
     let mut args = Vec::with_capacity(desc.args.len());
     for arg in &desc.args {
         match &arg.ty {
             TypeDesc::Resource { kind } => {
                 // Prefer reusing an existing producer (mirrors real
                 // workloads, which share fds); otherwise insert one.
-                let existing: Vec<usize> = prog
-                    .calls
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| {
-                        table
-                            .get(c.desc)
-                            .produces
-                            .as_ref()
-                            .is_some_and(|p| kind.accepts(p))
+                let existing = || {
+                    prog.calls.iter().enumerate().filter(|(_, c)| {
+                        table.get(c.desc).produces.as_ref().is_some_and(|p| kind.accepts(p))
                     })
-                    .map(|(i, _)| i)
-                    .collect();
-                let target = if !existing.is_empty() && rng.gen_bool(0.8) {
-                    *existing.choose(rng).expect("non-empty")
+                };
+                let reusable = existing().count();
+                let target = if reusable > 0 && rng.gen_bool(0.8) {
+                    let k = rng.gen_range(0..reusable);
+                    existing().nth(k).expect("k < reusable").0
                 } else {
-                    let producers = table.producers_of(kind);
-                    let &producer = producers.choose(rng)?;
+                    let &producer = table.producers_of(kind).choose(rng)?;
                     append_call_depth(prog, table, producer, rng, depth + 1)?
                 };
                 args.push(ArgValue::Ref(target));
@@ -111,18 +104,21 @@ fn append_call_depth<R: Rng>(
 /// generator lives in the fuzzer crate and composes [`append_call`]).
 pub fn generate<R: Rng>(table: &DescTable, target_calls: usize, rng: &mut R) -> Prog {
     let mut prog = Prog::new();
-    let ids: Vec<DescId> = table.iter().map(|(id, _)| id).collect();
-    if ids.is_empty() {
-        return prog;
-    }
     for _ in 0..target_calls {
-        let &id = ids.choose(rng).expect("non-empty");
+        let Some(id) = random_desc(table, rng) else {
+            break;
+        };
         let _ = append_call(&mut prog, table, id, rng);
         if prog.len() >= target_calls * 2 {
             break;
         }
     }
     prog
+}
+
+/// A uniformly random description id, or `None` for an empty table.
+pub(crate) fn random_desc<R: Rng>(table: &DescTable, rng: &mut R) -> Option<DescId> {
+    (!table.is_empty()).then(|| DescId(rng.gen_range(0..table.len())))
 }
 
 #[cfg(test)]

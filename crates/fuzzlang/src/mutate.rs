@@ -2,9 +2,8 @@
 //! §IV-C).
 
 use crate::desc::DescTable;
-use crate::gen::{append_call, gen_value};
+use crate::gen::{append_call, gen_value, random_desc};
 use crate::prog::Prog;
-use crate::types::TypeDesc;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -47,13 +46,11 @@ pub fn mutate<R: Rng>(prog: &mut Prog, table: &DescTable, rng: &mut R) -> Option
     let &op = MutationOp::all().choose(rng).expect("non-empty");
     let applied = match op {
         MutationOp::InsertCall => {
-            let ids: Vec<_> = table.iter().map(|(id, _)| id).collect();
-            let &id = ids.choose(rng)?;
+            let id = random_desc(table, rng)?;
             append_call(prog, table, id, rng).is_some()
         }
         MutationOp::InsertCallAt => {
-            let ids: Vec<_> = table.iter().map(|(id, _)| id).collect();
-            let &id = ids.choose(rng)?;
+            let id = random_desc(table, rng)?;
             let mut sub = Prog::new();
             if append_call(&mut sub, table, id, rng).is_none() {
                 false
@@ -72,27 +69,15 @@ pub fn mutate<R: Rng>(prog: &mut Prog, table: &DescTable, rng: &mut R) -> Option
             }
         }
         MutationOp::MutateArg => {
-            let candidates: Vec<(usize, usize)> = prog
-                .calls
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, call)| {
-                    let desc = table.get(call.desc);
-                    desc.args
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| !a.ty.is_resource())
-                        .map(move |(ai, _)| (ci, ai))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            match candidates.choose(rng) {
-                Some(&(ci, ai)) => {
-                    let ty: TypeDesc = table.get(prog.calls[ci].desc).args[ai].ty.clone();
-                    prog.calls[ci].args[ai] = gen_value(&ty, rng);
-                    true
-                }
-                None => false,
+            let count = value_slots(prog, table).count();
+            if count == 0 {
+                false
+            } else {
+                let k = rng.gen_range(0..count);
+                let (ci, ai) = value_slots(prog, table).nth(k).expect("k < count");
+                let ty = &table.get(prog.calls[ci].desc).args[ai].ty;
+                prog.calls[ci].args[ai] = gen_value(ty, rng);
+                true
             }
         }
         MutationOp::DuplicateCall => {
@@ -107,6 +92,17 @@ pub fn mutate<R: Rng>(prog: &mut Prog, table: &DescTable, rng: &mut R) -> Option
         }
     };
     applied.then_some(op)
+}
+
+/// Every `(call, arg)` slot of `prog` holding a non-resource value.
+fn value_slots<'a>(
+    prog: &'a Prog,
+    table: &'a DescTable,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    prog.calls.iter().enumerate().flat_map(move |(ci, call)| {
+        let args = table.get(call.desc).args.iter().enumerate();
+        args.filter(|(_, a)| !a.ty.is_resource()).map(move |(ai, _)| (ci, ai))
+    })
 }
 
 /// Applies `n` mutations (best effort).
@@ -139,6 +135,7 @@ pub fn crossover<R: Rng>(a: &Prog, b: &Prog, rng: &mut R) -> Prog {
 mod tests {
     use super::*;
     use crate::desc::{ArgDesc, CallDesc, CallKind, SyscallTemplate};
+    use crate::types::TypeDesc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

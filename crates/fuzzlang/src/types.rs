@@ -26,7 +26,8 @@ impl ResourceKind {
     /// assert!(!wanted.accepts(&ResourceKind::new("handle:ion")));
     /// ```
     pub fn accepts(&self, produced: &ResourceKind) -> bool {
-        produced.0 == self.0 || produced.0.starts_with(&format!("{}:", self.0))
+        let (wanted, produced) = (self.0.as_bytes(), produced.0.as_bytes());
+        produced.starts_with(wanted) && produced.get(wanted.len()).is_none_or(|&sep| sep == b':')
     }
 }
 
@@ -113,6 +114,7 @@ mod tests {
         let exact = ResourceKind::new("fd:/dev/video0");
         assert!(exact.accepts(&"fd:/dev/video0".into()));
         assert!(!exact.accepts(&"fd:/dev/video1".into()));
+        assert!(!exact.accepts(&"fd".into()), "a shorter product is never accepted");
     }
 
     #[test]
