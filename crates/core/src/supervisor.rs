@@ -351,9 +351,7 @@ impl Supervisor {
     /// dead without any bug report. A found bug always reports; silence
     /// distinguishes "the hardware glitched" from "the fuzzer scored".
     fn silently_lost(device: &Device, outcome: &ExecOutcome) -> bool {
-        outcome.bugs.is_empty()
-            && (device.is_wedged()
-                || device.hal_descriptors().iter().any(|d| !device.hal_alive(d)))
+        outcome.bugs.is_empty() && (device.is_wedged() || !device.hal_all_alive())
     }
 
     /// Drops the tail half of the feedback: the link died mid-pull.
@@ -392,7 +390,7 @@ impl Supervisor {
             if self.plan.reprovision_fails() {
                 continue;
             }
-            if !device.is_wedged() && device.hal_descriptors().iter().all(|d| device.hal_alive(d)) {
+            if !device.is_wedged() && device.hal_all_alive() {
                 return true;
             }
         }

@@ -149,6 +149,11 @@ impl Device {
         self.hal.is_alive(descriptor)
     }
 
+    /// Whether every HAL service is alive.
+    pub fn hal_all_alive(&self) -> bool {
+        self.hal.all_alive()
+    }
+
     /// Fault injection: kills a HAL service *silently* (no crash report,
     /// unlike a crash observed mid-transaction). Subsequent calls to it
     /// fail with `DEAD_OBJECT`; a reboot revives it. Returns `false` for
@@ -170,10 +175,10 @@ impl Device {
         self.service_manager().list().iter().map(|s| (*s).to_owned()).collect()
     }
 
-    /// Ends the current Binder client session: every HAL service drops
-    /// the state (and kernel resources) it held for that client. Called by
-    /// the execution broker after each test case, mirroring executor
-    /// process exit.
+    /// Ends the current Binder client session: every HAL service the
+    /// client reached drops the state (and kernel resources) it held for
+    /// that client. Called by the execution broker after each test case,
+    /// mirroring executor process exit.
     pub fn end_hal_client(&mut self) {
         self.hal.end_client(&mut self.kernel);
     }

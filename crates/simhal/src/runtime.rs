@@ -13,6 +13,9 @@ struct ServiceSlot {
     descriptor: String,
     svc: Box<dyn HalService>,
     alive: bool,
+    /// Whether a transaction reached the service since its last reset —
+    /// the only way its in-memory state or kernel descriptors can change.
+    touched: bool,
 }
 
 impl std::fmt::Debug for ServiceSlot {
@@ -21,6 +24,7 @@ impl std::fmt::Debug for ServiceSlot {
             .field("tag", &self.tag)
             .field("descriptor", &self.descriptor)
             .field("alive", &self.alive)
+            .field("touched", &self.touched)
             .finish()
     }
 }
@@ -48,7 +52,7 @@ impl HalRuntime {
         let info = svc.info();
         let descriptor = info.descriptor.clone();
         self.sm.register(info);
-        self.slots.push(ServiceSlot { tag, pid, descriptor, svc, alive: true });
+        self.slots.push(ServiceSlot { tag, pid, descriptor, svc, alive: true, touched: false });
         tag
     }
 
@@ -71,6 +75,13 @@ impl HalRuntime {
             == Some(true)
     }
 
+    /// Whether every registered service is alive — the liveness check of
+    /// [`is_alive`](Self::is_alive) over all services, without naming
+    /// them.
+    pub fn all_alive(&self) -> bool {
+        self.slots.iter().all(|s| s.alive)
+    }
+
     /// Routes a transaction to a service.
     ///
     /// # Errors
@@ -91,6 +102,7 @@ impl HalRuntime {
         if !slot.alive {
             return Err(TransactionError::DeadObject { reason: "service has died".into() });
         }
+        slot.touched = true;
         let mut handle = KernelHandle::new(kernel, slot.pid);
         let result = slot.svc.on_transact(&mut handle, &txn);
         if let Err(TransactionError::DeadObject { reason }) = &result {
@@ -134,20 +146,37 @@ impl HalRuntime {
         std::mem::take(&mut self.crashes)
     }
 
-    /// Drops per-client state in every (live) service: the fuzzer's
-    /// executor process is one Binder client, and when it exits the
-    /// services release that client's sessions, layers, streams and file
-    /// descriptors — exactly as `binderDied` cleanup does. Implemented by
-    /// tearing down the service's kernel process (running driver
-    /// `release` handlers) and respawning it with fresh in-memory state.
+    /// Drops per-client state in the services the client reached: the
+    /// fuzzer's executor process is one Binder client, and when it exits
+    /// the services it bound to release that client's sessions, layers,
+    /// streams and file descriptors — exactly as `binderDied` cleanup
+    /// does. Implemented by tearing down each touched live service's
+    /// kernel process (running driver `release` handlers) and respawning
+    /// it with fresh in-memory state.
+    ///
+    /// A service no transaction reached since its last reset is skipped:
+    /// its state and descriptors change only inside `on_transact`, so it
+    /// is already in the state a reset would produce and its process holds
+    /// no descriptors (checked in debug builds). It keeps its pid, which
+    /// is visible only in a later crash report's log text.
     pub fn end_client(&mut self, kernel: &mut Kernel) {
         for slot in &mut self.slots {
             if !slot.alive {
                 continue;
             }
+            if !slot.touched {
+                debug_assert_eq!(
+                    kernel.open_fd_count(slot.pid),
+                    Some(0),
+                    "untouched service {} holds kernel descriptors",
+                    slot.descriptor
+                );
+                continue;
+            }
             let _ = kernel.exit_process(slot.pid);
             slot.svc.reset();
             slot.pid = kernel.spawn_process(Origin::Hal(slot.tag));
+            slot.touched = false;
         }
     }
 
@@ -158,6 +187,7 @@ impl HalRuntime {
             slot.svc.reset();
             slot.pid = kernel.spawn_process(Origin::Hal(slot.tag));
             slot.alive = true;
+            slot.touched = false;
         }
         self.crashes.clear();
     }
@@ -177,47 +207,183 @@ impl HalRuntime {
 mod tests {
     use super::*;
     use simbinder::{InterfaceInfo, MethodInfo, Parcel};
+    use simkernel::Syscall;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
-    /// Service that crashes on method 2 and echoes on method 1.
+    const D: &str = "test.crashy@1.0::ICrashy/default";
+    const OTHER: &str = "test.crashy@1.0::ICrashy/other";
+
+    /// Service that echoes on method 1, crashes on method 2, and on method
+    /// 3 opens `/dev/thermal` and keeps the descriptor. Counts its resets
+    /// through a shared handle.
     struct Crashy {
-        calls: u32,
+        descriptor: &'static str,
+        resets: Arc<AtomicU32>,
+    }
+
+    fn crashy(descriptor: &'static str) -> (Box<Crashy>, Arc<AtomicU32>) {
+        let resets = Arc::new(AtomicU32::new(0));
+        (Box::new(Crashy { descriptor, resets: Arc::clone(&resets) }), resets)
     }
 
     impl HalService for Crashy {
         fn info(&self) -> InterfaceInfo {
             InterfaceInfo {
-                descriptor: "test.crashy@1.0::ICrashy/default".into(),
+                descriptor: self.descriptor.into(),
                 methods: vec![
                     MethodInfo { name: "echo".into(), code: 1, args: vec![] },
                     MethodInfo { name: "boom".into(), code: 2, args: vec![] },
+                    MethodInfo { name: "hold".into(), code: 3, args: vec![] },
                 ],
             }
         }
 
         fn on_transact(
             &mut self,
-            _sys: &mut KernelHandle<'_>,
+            sys: &mut KernelHandle<'_>,
             txn: &Transaction,
         ) -> TransactionResult {
-            self.calls += 1;
             match txn.code {
                 1 => Ok(Parcel::new()),
                 2 => Err(crate::service::native_crash("Native crash in Crashy HAL")),
+                3 => {
+                    sys.sys(Syscall::Openat { path: "/dev/thermal".into() });
+                    Ok(Parcel::new())
+                }
                 c => Err(TransactionError::UnknownCode(c)),
             }
         }
 
         fn reset(&mut self) {
-            self.calls = 0;
+            self.resets.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    fn call(rt: &mut HalRuntime, kernel: &mut Kernel, d: &str, code: u32) -> TransactionResult {
+        rt.transact(kernel, d, Transaction::new(code, Parcel::new()))
+    }
+
+    fn pid_of(rt: &HalRuntime, d: &str) -> simkernel::Pid {
+        rt.slots.iter().find(|s| s.descriptor == d).expect("registered").pid
+    }
+
+    /// A kernel with a thermal device and two registered services, `D`
+    /// and `OTHER`, with their reset counters.
+    fn two_services() -> (Kernel, HalRuntime, Arc<AtomicU32>, Arc<AtomicU32>) {
+        let mut kernel = Kernel::new();
+        kernel.register_device(Box::new(simkernel::drivers::thermal::ThermalDevice::new()));
+        let mut rt = HalRuntime::new();
+        let (svc, resets) = crashy(D);
+        rt.register(&mut kernel, svc);
+        let (other, other_resets) = crashy(OTHER);
+        rt.register(&mut kernel, other);
+        (kernel, rt, resets, other_resets)
+    }
+
+    #[test]
+    fn end_client_skips_untouched_services() {
+        let (mut kernel, mut rt, resets, other_resets) = two_services();
+        let (pid, other_pid) = (pid_of(&rt, D), pid_of(&rt, OTHER));
+        call(&mut rt, &mut kernel, D, 1).unwrap();
+        rt.end_client(&mut kernel);
+        assert_eq!(pid_of(&rt, OTHER), other_pid, "untouched service keeps its process");
+        assert_eq!(other_resets.load(Ordering::Relaxed), 0, "untouched service is not reset");
+        assert_eq!(kernel.open_fd_count(other_pid), Some(0));
+        assert_ne!(pid_of(&rt, D), pid, "touched service is respawned");
+        assert_eq!(resets.load(Ordering::Relaxed), 1);
+        assert_eq!(kernel.open_fd_count(pid), None, "its old process is gone");
+    }
+
+    #[test]
+    fn end_client_releases_a_touched_service_and_clears_its_mark() {
+        let (mut kernel, mut rt, resets, _) = two_services();
+        call(&mut rt, &mut kernel, D, 3).unwrap();
+        let pid = pid_of(&rt, D);
+        assert_eq!(kernel.open_fd_count(pid), Some(1), "the service holds its descriptor");
+        let covered = kernel.global_coverage().len();
+        rt.end_client(&mut kernel);
+        assert!(
+            kernel.global_coverage().len() > covered,
+            "closing the descriptor runs the driver's release handler"
+        );
+        let respawned = pid_of(&rt, D);
+        assert_ne!(respawned, pid);
+        assert_eq!(kernel.open_fd_count(pid), None);
+        assert_eq!(kernel.open_fd_count(respawned), Some(0));
+        assert_eq!(resets.load(Ordering::Relaxed), 1);
+        // The mark is cleared: a client that does not reach the service
+        // leaves it alone.
+        rt.end_client(&mut kernel);
+        assert_eq!(pid_of(&rt, D), respawned);
+        assert_eq!(resets.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn crashed_touched_service_stays_dead_until_reboot() {
+        let (mut kernel, mut rt, resets, _) = two_services();
+        call(&mut rt, &mut kernel, D, 3).unwrap();
+        call(&mut rt, &mut kernel, D, 2).unwrap_err();
+        let pid = pid_of(&rt, D);
+        rt.end_client(&mut kernel);
+        assert!(!rt.is_alive(D));
+        assert!(!rt.all_alive());
+        assert_eq!(pid_of(&rt, D), pid, "a dead service is not respawned");
+        assert_eq!(resets.load(Ordering::Relaxed), 0);
+        assert!(matches!(
+            call(&mut rt, &mut kernel, D, 1),
+            Err(TransactionError::DeadObject { .. })
+        ));
+        rt.reboot(&mut kernel);
+        assert!(rt.is_alive(D));
+        assert!(rt.all_alive());
+        assert!(call(&mut rt, &mut kernel, D, 1).is_ok());
+    }
+
+    #[test]
+    fn reboot_clears_touch_marks() {
+        let (mut kernel, mut rt, resets, other_resets) = two_services();
+        call(&mut rt, &mut kernel, D, 1).unwrap();
+        rt.reboot(&mut kernel);
+        assert_eq!(resets.load(Ordering::Relaxed), 1);
+        assert_eq!(other_resets.load(Ordering::Relaxed), 1, "reboot resets every service");
+        let (pid, other_pid) = (pid_of(&rt, D), pid_of(&rt, OTHER));
+        rt.end_client(&mut kernel);
+        assert_eq!((pid_of(&rt, D), pid_of(&rt, OTHER)), (pid, other_pid));
+        assert_eq!(resets.load(Ordering::Relaxed), 1, "no client reached it since the reboot");
+    }
+
+    /// The skip is sound only while a service's descriptors come from its
+    /// own transactions; debug builds check that at every skip.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "holds kernel descriptors")]
+    fn end_client_asserts_a_skipped_service_holds_no_descriptors() {
+        let (mut kernel, mut rt, _, _) = two_services();
+        let pid = pid_of(&rt, OTHER);
+        kernel.syscall(pid, Syscall::Openat { path: "/dev/thermal".into() });
+        rt.end_client(&mut kernel);
+    }
+
+    #[test]
+    fn kill_service_exits_an_untouched_process() {
+        let (mut kernel, mut rt, _, other_resets) = two_services();
+        let other_pid = pid_of(&rt, OTHER);
+        assert_eq!(kernel.open_fd_count(other_pid), Some(0));
+        assert!(rt.kill_service(&mut kernel, OTHER));
+        assert_eq!(kernel.open_fd_count(other_pid), None, "the process has exited");
+        assert!(!rt.is_alive(OTHER));
+        rt.end_client(&mut kernel);
+        assert!(!rt.is_alive(OTHER), "end_client does not revive it");
+        assert_eq!(other_resets.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn crash_marks_service_dead_and_records_report() {
         let mut kernel = Kernel::new();
         let mut rt = HalRuntime::new();
-        rt.register(&mut kernel, Box::new(Crashy { calls: 0 }));
-        let d = "test.crashy@1.0::ICrashy/default";
+        rt.register(&mut kernel, crashy(D).0);
+        let d = D;
         assert!(rt.transact(&mut kernel, d, Transaction::new(1, Parcel::new())).is_ok());
         assert!(rt.is_alive(d));
         let err = rt.transact(&mut kernel, d, Transaction::new(2, Parcel::new()));
@@ -237,8 +403,8 @@ mod tests {
     fn reboot_revives_services() {
         let mut kernel = Kernel::new();
         let mut rt = HalRuntime::new();
-        rt.register(&mut kernel, Box::new(Crashy { calls: 0 }));
-        let d = "test.crashy@1.0::ICrashy/default";
+        rt.register(&mut kernel, crashy(D).0);
+        let d = D;
         rt.transact(&mut kernel, d, Transaction::new(2, Parcel::new())).unwrap_err();
         assert!(!rt.is_alive(d));
         rt.reboot(&mut kernel);
@@ -250,8 +416,8 @@ mod tests {
     fn kill_service_dies_silently_without_a_crash_report() {
         let mut kernel = Kernel::new();
         let mut rt = HalRuntime::new();
-        rt.register(&mut kernel, Box::new(Crashy { calls: 0 }));
-        let d = "test.crashy@1.0::ICrashy/default";
+        rt.register(&mut kernel, crashy(D).0);
+        let d = D;
         assert!(rt.kill_service(&mut kernel, d));
         assert!(!rt.is_alive(d));
         let err = rt.transact(&mut kernel, d, Transaction::new(1, Parcel::new()));
@@ -277,8 +443,8 @@ mod tests {
     fn tags_are_unique_and_resolvable() {
         let mut kernel = Kernel::new();
         let mut rt = HalRuntime::new();
-        let t1 = rt.register(&mut kernel, Box::new(Crashy { calls: 0 }));
-        assert_eq!(rt.tag_of("test.crashy@1.0::ICrashy/default"), Some(t1));
+        let t1 = rt.register(&mut kernel, crashy(D).0);
+        assert_eq!(rt.tag_of(D), Some(t1));
         assert_eq!(rt.tag_of("missing"), None);
         assert_eq!(rt.len(), 1);
     }

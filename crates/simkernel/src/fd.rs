@@ -20,12 +20,13 @@ impl fmt::Display for Fd {
 pub struct OpenFileId(pub u64);
 
 /// What an open file refers to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// A character device registered in devfs, by node path.
+    /// A character device registered in devfs.
     CharDev {
-        /// The `/dev/...` path the object was opened through.
-        path: String,
+        /// Index of the device in the kernel's device table (registration
+        /// order), which holds its node path and driver name.
+        dev: usize,
     },
     /// A socket handled by a protocol driver.
     Socket {
@@ -110,9 +111,9 @@ impl FdTable {
         self.slots.is_empty()
     }
 
-    /// Iterates over `(fd, open-file)` pairs in ascending descriptor order.
-    pub fn iter(&self) -> impl Iterator<Item = (Fd, OpenFileId)> + '_ {
-        self.slots.iter().map(|(&fd, &of)| (Fd(fd), of))
+    /// The lowest live descriptor, if any.
+    pub fn first(&self) -> Option<Fd> {
+        self.slots.keys().next().map(|&fd| Fd(fd))
     }
 }
 
@@ -142,6 +143,17 @@ mod tests {
         assert_eq!(t.get(fd), Err(Errno::EBADF));
         assert_eq!(t.remove(fd), Err(Errno::EBADF));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn first_is_the_lowest_live_descriptor() {
+        let mut t = FdTable::new();
+        assert_eq!(t.first(), None);
+        let fd3 = t.install(OpenFileId(1)).unwrap();
+        let fd4 = t.install(OpenFileId(2)).unwrap();
+        assert_eq!(t.first(), Some(fd3));
+        t.remove(fd3).unwrap();
+        assert_eq!(t.first(), Some(fd4));
     }
 
     #[test]

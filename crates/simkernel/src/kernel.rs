@@ -30,8 +30,15 @@ pub const HCI_COV_BASE: u64 = 0x0800_0000;
 /// Coverage region of the L2CAP part of the Bluetooth stack.
 pub const L2CAP_COV_BASE: u64 = 0x0900_0000;
 
+/// A mounted character device. Open files refer to it by its index in
+/// the kernel's device table, so dispatch reaches the driver, its name
+/// and its node path without a lookup or a copy.
 struct DeviceSlot {
     base: u64,
+    /// The `/dev/...` node the device is mounted at.
+    node: String,
+    /// The driver's name, read once at mount time.
+    name: String,
     dev: Box<dyn CharDevice>,
 }
 
@@ -39,9 +46,18 @@ impl std::fmt::Debug for DeviceSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceSlot")
             .field("base", &self.base)
-            .field("dev", &self.dev.name())
+            .field("node", &self.node)
+            .field("dev", &self.name)
             .finish()
     }
+}
+
+/// The driver a file-bound syscall body runs against.
+enum Target<'k> {
+    /// A mounted character device.
+    Dev(&'k mut dyn CharDevice),
+    /// The Bluetooth protocol stack (sockets).
+    Bt(&'k mut BtStack),
 }
 
 /// The simulated kernel.
@@ -52,7 +68,11 @@ impl std::fmt::Debug for DeviceSlot {
 /// example.
 #[derive(Debug)]
 pub struct Kernel {
-    devices: BTreeMap<String, DeviceSlot>,
+    /// Mounted devices in registration order (the order their coverage
+    /// regions were assigned in).
+    devices: Vec<DeviceSlot>,
+    /// Indices into `devices`, sorted by node path.
+    by_node: Vec<usize>,
     bt: BtStack,
     procs: BTreeMap<u32, Process>,
     files: BTreeMap<u64, OpenFile>,
@@ -76,7 +96,8 @@ impl Kernel {
     /// (device firmware decides which injected bugs are armed).
     pub fn with_bt(bt: BtStack) -> Self {
         Self {
-            devices: BTreeMap::new(),
+            devices: Vec::new(),
+            by_node: Vec::new(),
             bt,
             procs: BTreeMap::new(),
             files: BTreeMap::new(),
@@ -112,10 +133,9 @@ impl Kernel {
     /// specs must not double-mount.
     pub fn register_device(&mut self, dev: Box<dyn CharDevice>) -> u64 {
         let node = dev.node();
-        assert!(
-            !self.devices.contains_key(&node),
-            "device node {node} already registered"
-        );
+        let Err(pos) = self.device_index(&node) else {
+            panic!("device node {node} already registered");
+        };
         // Debug builds validate the driver's self-description at mount
         // time: duplicate ioctl request codes, empty Choice/Flags word
         // shapes, and malformed state models are firmware bugs.
@@ -125,28 +145,35 @@ impl Kernel {
             assert!(problems.is_empty(), "invalid DriverApi: {problems:?}");
         }
         let base = DEVICE_COV_BASE + self.devices.len() as u64 * DRIVER_REGION;
-        self.devices.insert(node, DeviceSlot { base, dev });
+        let name = dev.name().to_owned();
+        self.by_node.insert(pos, self.devices.len());
+        self.devices.push(DeviceSlot { base, node, name, dev });
         base
+    }
+
+    /// The index of the device mounted at `node`, or where its entry
+    /// would go in `by_node`.
+    fn device_index(&self, node: &str) -> Result<usize, usize> {
+        self.by_node
+            .binary_search_by(|&i| self.devices[i].node.as_str().cmp(node))
+            .map(|pos| self.by_node[pos])
     }
 
     /// The `/dev` nodes currently registered, in sorted order.
     pub fn device_nodes(&self) -> Vec<String> {
-        self.devices.keys().cloned().collect()
+        self.by_node.iter().map(|&i| self.devices[i].node.clone()).collect()
     }
 
     /// The self-described syscall surface of the driver at `node`.
     pub fn device_api(&self, node: &str) -> Option<DriverApi> {
-        self.devices.get(node).map(|s| s.dev.api())
+        self.device_index(node).ok().map(|i| self.devices[i].dev.api())
     }
 
     /// Driver name and coverage-region base for every driver (devices plus
     /// the two Bluetooth stack halves), for per-driver coverage accounting.
     pub fn driver_regions(&self) -> Vec<(String, u64)> {
-        let mut regions: Vec<(String, u64)> = self
-            .devices
-            .values()
-            .map(|s| (s.dev.name().to_owned(), s.base))
-            .collect();
+        let mut regions: Vec<(String, u64)> =
+            self.devices.iter().map(|s| (s.name.clone(), s.base)).collect();
         regions.push(("hci".to_owned(), HCI_COV_BASE));
         regions.push(("l2cap".to_owned(), L2CAP_COV_BASE));
         regions.sort();
@@ -168,23 +195,30 @@ impl Kernel {
         Pid(pid)
     }
 
-    /// Terminates a process: closes every descriptor it still holds
-    /// (running driver `release` handlers, exactly as `do_exit` would) and
-    /// removes it from the process table.
+    /// Terminates a process: closes every descriptor it still holds in
+    /// ascending order (running driver `release` handlers, exactly as
+    /// `do_exit` would) and removes it from the process table.
     ///
     /// # Errors
     ///
     /// Returns `ENOENT` for unknown processes.
     pub fn exit_process(&mut self, pid: Pid) -> Result<(), Errno> {
-        let Some(proc) = self.procs.get(&pid.0) else {
+        if !self.procs.contains_key(&pid.0) {
             return Err(Errno::ENOENT);
-        };
-        let fds: Vec<Fd> = proc.fds.iter().map(|(fd, _)| fd).collect();
-        for fd in fds {
+        }
+        // `sys_close` removes the descriptor before anything can fail, so
+        // each pass takes the next-lowest one.
+        while let Some(fd) = self.procs.get(&pid.0).and_then(|p| p.fds.first()) {
             let _ = self.sys_close(pid, fd);
         }
         self.procs.remove(&pid.0);
         Ok(())
+    }
+
+    /// Descriptors the process `pid` holds open (`None` for unknown
+    /// processes).
+    pub fn open_fd_count(&self, pid: Pid) -> Option<usize> {
+        self.procs.get(&pid.0).map(|p| p.fds.len())
     }
 
     /// Starts kcov collection for `pid` (clears the previous buffer).
@@ -320,87 +354,93 @@ impl Kernel {
             Some(p) => p.origin,
             None => return SyscallRet::Err(Errno::EPERM),
         };
-        let (ret, path) = self.dispatch(pid, &call);
-        let event = SyscallEvent {
-            origin,
-            nr: call.nr(),
-            critical: call.critical_arg(),
-            path,
-            ok: ret.is_ok(),
-        };
-        for session in self.sessions.iter_mut().flatten() {
-            session.record(&event);
+        let (ret, dev) = self.dispatch(pid, &call);
+        // The event (and its path) is built only when a session wants it,
+        // and moved into the last session that does.
+        let mut watchers = self
+            .sessions
+            .iter_mut()
+            .flatten()
+            .filter(|s| s.filter.matches(origin))
+            .peekable();
+        if watchers.peek().is_some() {
+            let path = match &call {
+                Syscall::Openat { path } => Some(path.clone()),
+                _ => dev.map(|i| self.devices[i].node.clone()),
+            };
+            let event = SyscallEvent {
+                origin,
+                nr: call.nr(),
+                critical: call.critical_arg(),
+                path,
+                ok: ret.is_ok(),
+            };
+            while let Some(session) = watchers.next() {
+                if watchers.peek().is_some() {
+                    session.record(event.clone());
+                } else {
+                    session.record(event);
+                    break;
+                }
+            }
         }
         ret
     }
 
-    fn dispatch(&mut self, pid: Pid, call: &Syscall) -> (SyscallRet, Option<String>) {
+    /// Runs one syscall body. Besides the result, returns the index of the
+    /// device the call reached through an open file, whose node the trace
+    /// event carries.
+    fn dispatch(&mut self, pid: Pid, call: &Syscall) -> (SyscallRet, Option<usize>) {
         match call {
-            Syscall::Openat { path } => (self.sys_open(pid, path), Some(path.clone())),
+            Syscall::Openat { path } => (self.sys_open(pid, path), None),
             Syscall::Close { fd } => self.sys_close(pid, *fd),
-            Syscall::Read { fd, len } => self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                    Some(slot) => slot.dev.read(ctx, *len).map(SyscallRet::Data),
-                    None => Err(Errno::ENODEV),
-                },
-                FileKind::Socket { .. } => k.bt.read(ctx, *len).map(SyscallRet::Data),
+            Syscall::Read { fd, len } => self.on_file(pid, *fd, |target, ctx| match target {
+                Target::Dev(dev) => dev.read(ctx, *len).map(SyscallRet::Data),
+                Target::Bt(bt) => bt.read(ctx, *len).map(SyscallRet::Data),
             }),
-            Syscall::Write { fd, data } => self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                    Some(slot) => slot.dev.write(ctx, data).map(|n| SyscallRet::Ok(n as u64)),
-                    None => Err(Errno::ENODEV),
-                },
-                FileKind::Socket { .. } => k.bt.write(ctx, data).map(|n| SyscallRet::Ok(n as u64)),
+            Syscall::Write { fd, data } => self.on_file(pid, *fd, |target, ctx| match target {
+                Target::Dev(dev) => dev.write(ctx, data).map(|n| SyscallRet::Ok(n as u64)),
+                Target::Bt(bt) => bt.write(ctx, data).map(|n| SyscallRet::Ok(n as u64)),
             }),
             Syscall::Ioctl { fd, request, arg } => {
-                self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                    FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                        Some(slot) => slot.dev.ioctl(ctx, *request, arg).map(|out| match out {
-                            IoctlOut::Val(v) => SyscallRet::Ok(v),
-                            IoctlOut::Out(data) => SyscallRet::Data(data),
-                        }),
-                        None => Err(Errno::ENODEV),
-                    },
-                    FileKind::Socket { .. } => k.bt.ioctl(ctx, *request, arg).map(SyscallRet::Ok),
+                self.on_file(pid, *fd, |target, ctx| match target {
+                    Target::Dev(dev) => dev.ioctl(ctx, *request, arg).map(|out| match out {
+                        IoctlOut::Val(v) => SyscallRet::Ok(v),
+                        IoctlOut::Out(data) => SyscallRet::Data(data),
+                    }),
+                    Target::Bt(bt) => bt.ioctl(ctx, *request, arg).map(SyscallRet::Ok),
                 })
             }
-            Syscall::Mmap { fd, len, prot } => {
-                self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                    FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                        Some(slot) => slot.dev.mmap(ctx, *len, *prot).map(|_| SyscallRet::Ok(0)),
-                        None => Err(Errno::ENODEV),
-                    },
-                    FileKind::Socket { .. } => Err(Errno::ENODEV),
-                })
-            }
-            Syscall::Poll { fd, events } => self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                    Some(slot) => slot.dev.poll(ctx, *events).map(|m| SyscallRet::Ok(u64::from(m))),
-                    None => Err(Errno::ENODEV),
-                },
-                FileKind::Socket { .. } => k.bt.poll(ctx, *events).map(|m| SyscallRet::Ok(u64::from(m))),
+            Syscall::Mmap { fd, len, prot } => self.on_file(pid, *fd, |target, ctx| match target {
+                Target::Dev(dev) => dev.mmap(ctx, *len, *prot).map(|_| SyscallRet::Ok(0)),
+                Target::Bt(_) => Err(Errno::ENODEV),
             }),
-            Syscall::Dup { fd } => self.sys_dup(pid, *fd),
+            Syscall::Poll { fd, events } => self.on_file(pid, *fd, |target, ctx| match target {
+                Target::Dev(dev) => dev.poll(ctx, *events).map(|m| SyscallRet::Ok(u64::from(m))),
+                Target::Bt(bt) => bt.poll(ctx, *events).map(|m| SyscallRet::Ok(u64::from(m))),
+            }),
+            Syscall::Dup { fd } => (self.sys_dup(pid, *fd), None),
             Syscall::Socket { domain, ty, proto } => {
                 (self.sys_socket(pid, *domain, *ty, *proto), None)
             }
             Syscall::Bind { fd, addr } => {
-                self.on_socket(pid, *fd, |k, ctx, _| k.bt.bind(ctx, *addr).map(SyscallRet::Ok))
+                self.on_socket(pid, *fd, |bt, ctx| bt.bind(ctx, *addr).map(SyscallRet::Ok))
             }
             Syscall::Connect { fd, addr } => {
-                self.on_socket(pid, *fd, |k, ctx, _| k.bt.connect(ctx, *addr).map(SyscallRet::Ok))
+                self.on_socket(pid, *fd, |bt, ctx| bt.connect(ctx, *addr).map(SyscallRet::Ok))
             }
-            Syscall::Listen { fd, backlog } => self.on_socket(pid, *fd, |k, ctx, _| {
-                k.bt.listen(ctx, *backlog).map(SyscallRet::Ok)
-            }),
+            Syscall::Listen { fd, backlog } => {
+                self.on_socket(pid, *fd, |bt, ctx| bt.listen(ctx, *backlog).map(SyscallRet::Ok))
+            }
             Syscall::Accept { fd } => (self.sys_accept(pid, *fd), None),
         }
     }
 
     fn sys_open(&mut self, pid: Pid, path: &str) -> SyscallRet {
-        let Some(slot) = self.devices.get_mut(path) else {
+        let Ok(dev) = self.device_index(path) else {
             return SyscallRet::Err(Errno::ENOENT);
         };
+        let slot = &mut self.devices[dev];
         let open_id = self.next_open;
         let Some(proc) = self.procs.get_mut(&pid.0) else {
             return SyscallRet::Err(Errno::EPERM);
@@ -418,10 +458,7 @@ impl Kernel {
             Err(e) => return SyscallRet::Err(e),
         }
         self.next_open += 1;
-        let of = OpenFile {
-            kind: FileKind::CharDev { path: path.to_owned() },
-            refs: 1,
-        };
+        let of = OpenFile { kind: FileKind::CharDev { dev }, refs: 1 };
         self.files.insert(open_id, of);
         match proc.fds.install(OpenFileId(open_id)) {
             Ok(fd) => SyscallRet::NewFd(fd),
@@ -511,7 +548,7 @@ impl Kernel {
         }
     }
 
-    fn sys_close(&mut self, pid: Pid, fd: Fd) -> (SyscallRet, Option<String>) {
+    fn sys_close(&mut self, pid: Pid, fd: Fd) -> (SyscallRet, Option<usize>) {
         let Some(proc) = self.procs.get_mut(&pid.0) else {
             return (SyscallRet::Err(Errno::EPERM), None);
         };
@@ -527,24 +564,20 @@ impl Kernel {
             return (SyscallRet::Ok(0), None);
         }
         let file = self.files.remove(&of_id.0).expect("file exists");
-        let path = match &file.kind {
-            FileKind::CharDev { path } => Some(path.clone()),
-            FileKind::Socket { .. } => None,
-        };
         let mut ctx_holder;
-        match &file.kind {
-            FileKind::CharDev { path } => {
-                if let Some(slot) = self.devices.get_mut(path) {
-                    ctx_holder = DriverCtx::new(
-                        slot.base,
-                        "",
-                        Some(&mut proc.kcov),
-                        &mut self.global_cov,
-                        &mut self.bugs,
-                        of_id.0,
-                    );
-                    slot.dev.release(&mut ctx_holder);
-                }
+        match file.kind {
+            FileKind::CharDev { dev } => {
+                let slot = &mut self.devices[dev];
+                ctx_holder = DriverCtx::new(
+                    slot.base,
+                    "",
+                    Some(&mut proc.kcov),
+                    &mut self.global_cov,
+                    &mut self.bugs,
+                    of_id.0,
+                );
+                slot.dev.release(&mut ctx_holder);
+                (SyscallRet::Ok(0), Some(dev))
             }
             FileKind::Socket { .. } => {
                 ctx_holder = DriverCtx::new(
@@ -556,38 +589,38 @@ impl Kernel {
                     of_id.0,
                 );
                 self.bt.close(&mut ctx_holder);
+                (SyscallRet::Ok(0), None)
             }
         }
-        (SyscallRet::Ok(0), path)
     }
 
-    fn sys_dup(&mut self, pid: Pid, fd: Fd) -> (SyscallRet, Option<String>) {
+    fn sys_dup(&mut self, pid: Pid, fd: Fd) -> SyscallRet {
         let Some(proc) = self.procs.get_mut(&pid.0) else {
-            return (SyscallRet::Err(Errno::EPERM), None);
+            return SyscallRet::Err(Errno::EPERM);
         };
         let of_id = match proc.fds.get(fd) {
             Ok(id) => id,
-            Err(e) => return (SyscallRet::Err(e), None),
+            Err(e) => return SyscallRet::Err(e),
         };
         let Some(file) = self.files.get_mut(&of_id.0) else {
-            return (SyscallRet::Err(Errno::EBADF), None);
+            return SyscallRet::Err(Errno::EBADF);
         };
         file.refs += 1;
         match proc.fds.install(of_id) {
-            Ok(new_fd) => (SyscallRet::NewFd(new_fd), None),
+            Ok(new_fd) => SyscallRet::NewFd(new_fd),
             Err(e) => {
                 self.files.get_mut(&of_id.0).expect("file exists").refs -= 1;
-                (SyscallRet::Err(e), None)
+                SyscallRet::Err(e)
             }
         }
     }
 
-    /// Runs `f` with the open file for `(pid, fd)` and a driver context
-    /// whose `open_id` identifies that file. Returns the node path for
-    /// char devices so the trace event can carry it.
-    fn on_file<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<String>)
+    /// Runs `f` against the driver behind `(pid, fd)` with a driver
+    /// context whose `open_id` identifies that file. Returns the device
+    /// index for char devices so the trace event can carry its node.
+    fn on_file<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<usize>)
     where
-        F: FnOnce(&mut FileAccess<'_>, &OpenFile, &mut DriverCtx<'_>) -> Result<SyscallRet, Errno>,
+        F: FnOnce(Target<'_>, &mut DriverCtx<'_>) -> Result<SyscallRet, Errno>,
     {
         let Some(proc) = self.procs.get_mut(&pid.0) else {
             return (SyscallRet::Err(Errno::EPERM), None);
@@ -596,43 +629,36 @@ impl Kernel {
             Ok(id) => id,
             Err(e) => return (SyscallRet::Err(e), None),
         };
-        let Some(file) = self.files.get(&of_id.0).cloned() else {
+        let Some(file) = self.files.get(&of_id.0) else {
             return (SyscallRet::Err(Errno::EBADF), None);
         };
-        let (base, name, path) = match &file.kind {
-            FileKind::CharDev { path } => match self.devices.get(path) {
-                Some(slot) => (slot.base, slot.dev.name().to_owned(), Some(path.clone())),
-                None => return (SyscallRet::Err(Errno::ENODEV), None),
-            },
-            FileKind::Socket { .. } => (0, "bt".to_owned(), None),
+        let (base, name, target, dev) = match file.kind {
+            FileKind::CharDev { dev } => {
+                let DeviceSlot { base, name, dev: driver, .. } = &mut self.devices[dev];
+                (*base, name.as_str(), Target::Dev(driver.as_mut()), Some(dev))
+            }
+            FileKind::Socket { .. } => (0, "bt", Target::Bt(&mut self.bt), None),
         };
         let mut ctx = DriverCtx::new(
             base,
-            &name,
+            name,
             Some(&mut proc.kcov),
             &mut self.global_cov,
             &mut self.bugs,
             of_id.0,
         );
-        let mut access = FileAccess {
-            devices: &mut self.devices,
-            bt: &mut self.bt,
-        };
-        let ret = match f(&mut access, &file, &mut ctx) {
-            Ok(r) => r,
-            Err(e) => SyscallRet::Err(e),
-        };
-        (ret, path)
+        let ret = f(target, &mut ctx).unwrap_or_else(SyscallRet::Err);
+        (ret, dev)
     }
 
     /// Like [`on_file`](Self::on_file) but requires the fd to be a socket.
-    fn on_socket<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<String>)
+    fn on_socket<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<usize>)
     where
-        F: FnOnce(&mut FileAccess<'_>, &mut DriverCtx<'_>, &OpenFile) -> Result<SyscallRet, Errno>,
+        F: FnOnce(&mut BtStack, &mut DriverCtx<'_>) -> Result<SyscallRet, Errno>,
     {
-        self.on_file(pid, fd, |k, of, ctx| match of.kind {
-            FileKind::Socket { .. } => f(k, ctx, of),
-            FileKind::CharDev { .. } => Err(Errno::EOPNOTSUPP),
+        self.on_file(pid, fd, |target, ctx| match target {
+            Target::Bt(bt) => f(bt, ctx),
+            Target::Dev(_) => Err(Errno::EOPNOTSUPP),
         })
     }
 }
@@ -640,20 +666,6 @@ impl Kernel {
 impl Default for Kernel {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Split-borrow view over the kernel's device map and Bluetooth stack,
-/// handed to syscall bodies alongside the driver context.
-pub struct FileAccess<'k> {
-    devices: &'k mut BTreeMap<String, DeviceSlot>,
-    /// The Bluetooth protocol stack.
-    pub bt: &'k mut BtStack,
-}
-
-impl std::fmt::Debug for FileAccess<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileAccess").finish_non_exhaustive()
     }
 }
 
@@ -787,6 +799,77 @@ mod tests {
             .syscall(pid, Syscall::Ioctl { fd: fd2, request: 0xE0, arg: vec![] })
             .is_ok());
         assert!(k.syscall(pid, Syscall::Close { fd: fd2 }).is_ok());
+    }
+
+    /// Records the `open_id` of every file it releases, in order.
+    #[derive(Debug, Default)]
+    struct ReleaseLog {
+        released: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl CharDevice for ReleaseLog {
+        fn name(&self) -> &str {
+            "relog"
+        }
+        fn node(&self) -> String {
+            "/dev/relog".into()
+        }
+        fn api(&self) -> DriverApi {
+            DriverApi {
+                ioctls: vec![],
+                supports_read: false,
+                supports_write: false,
+                supports_mmap: false,
+                vendor: false,
+                state_model: None,
+            }
+        }
+        fn release(&mut self, ctx: &mut DriverCtx<'_>) {
+            ctx.hit(&[0x11, ctx.open_id]);
+            self.released.lock().unwrap().push(ctx.open_id);
+        }
+    }
+
+    #[test]
+    fn exit_process_closes_descriptors_in_ascending_order() {
+        let log = ReleaseLog::default();
+        let released = std::sync::Arc::clone(&log.released);
+        let mut k = Kernel::new();
+        k.register_device(Box::new(log));
+        let pid = k.spawn_process(Origin::Native);
+        let open = |k: &mut Kernel| {
+            k.syscall(pid, Syscall::Openat { path: "/dev/relog".into() }).fd().unwrap()
+        };
+        // fd3 → file 1, fd4 → file 2, fd5 → file 1 again, fd6 → file 3.
+        let fd3 = open(&mut k);
+        open(&mut k);
+        k.syscall(pid, Syscall::Dup { fd: fd3 }).fd().unwrap();
+        open(&mut k);
+        assert_eq!(k.open_fd_count(pid), Some(4));
+        let covered = k.global_coverage().len();
+        k.exit_process(pid).unwrap();
+        // Ascending: fd3 only drops a reference, fd4 releases file 2, fd5
+        // the last reference to file 1, fd6 file 3.
+        assert_eq!(*released.lock().unwrap(), vec![2, 1, 3]);
+        assert_eq!(k.global_coverage().len(), covered + 3, "each release is covered");
+        assert_eq!(k.open_fd_count(pid), None);
+        assert_eq!(k.exit_process(pid), Err(Errno::ENOENT));
+    }
+
+    #[test]
+    fn trace_events_are_built_for_matching_sessions_only() {
+        let (mut k, pid) = kernel_with_echo();
+        let hal = k.attach_trace(TraceFilter::HalOnly);
+        let native = k.attach_trace(TraceFilter::NativeOnly);
+        let all = k.attach_trace(TraceFilter::All);
+        let fd = k.syscall(pid, Syscall::Openat { path: "/dev/echo0".into() }).fd().unwrap();
+        k.syscall(pid, Syscall::Ioctl { fd, request: 0xE0, arg: vec![] });
+        k.syscall(pid, Syscall::Close { fd });
+        assert!(k.trace_drain(hal).is_empty());
+        let events = k.trace_drain(native);
+        assert_eq!(events, k.trace_drain(all), "every matching session gets the same events");
+        let paths: Vec<_> = events.iter().map(|e| e.path.as_deref()).collect();
+        assert_eq!(paths, vec![Some("/dev/echo0"); 3]);
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl TraceSession {
 
     /// Records `event` if it passes the filter; drops (and counts) events
     /// past capacity.
-    pub fn record(&mut self, event: &SyscallEvent) {
+    pub fn record(&mut self, event: SyscallEvent) {
         if !self.filter.matches(event.origin) {
             return;
         }
@@ -110,7 +110,7 @@ impl TraceSession {
             self.dropped += 1;
             return;
         }
-        self.events.push(event.clone());
+        self.events.push(event);
     }
 
     /// Drains all buffered events in arrival order.
@@ -169,9 +169,9 @@ mod tests {
     #[test]
     fn session_records_in_order_and_drains() {
         let mut s = TraceSession::new(TraceFilter::HalOnly);
-        s.record(&ev(Origin::Native));
-        s.record(&ev(Origin::Hal(1)));
-        s.record(&ev(Origin::Hal(2)));
+        s.record(ev(Origin::Native));
+        s.record(ev(Origin::Hal(1)));
+        s.record(ev(Origin::Hal(2)));
         assert_eq!(s.len(), 2);
         let events = s.drain();
         assert_eq!(events[0].origin, Origin::Hal(1));
@@ -183,7 +183,7 @@ mod tests {
     fn session_drops_past_capacity() {
         let mut s = TraceSession::new(TraceFilter::All);
         for _ in 0..SESSION_CAPACITY + 5 {
-            s.record(&ev(Origin::Native));
+            s.record(ev(Origin::Native));
         }
         assert_eq!(s.len(), SESSION_CAPACITY);
         assert_eq!(s.dropped(), 5);

@@ -1,4 +1,5 @@
-//! Allocation budget of relational payload generation (§IV-C).
+//! Allocation budgets of the engine's hot paths: relational payload
+//! generation (§IV-C) and one supervised execution on the device.
 //!
 //! Producer insertion borrows call descriptions from the table, reads
 //! producers from the table's index and counts reusable producers instead
@@ -9,13 +10,19 @@
 //! `relational_generate` on device A1 to a fixed number of allocations per
 //! generated call — a bound that does not grow with the table or with a
 //! call's resource arguments, where cloning descriptions and collecting
-//! candidate lists did.
+//! candidate lists did. A supervised execution is held to a budget per
+//! program call in the same way: the device tears down only the HAL
+//! services the program reached and dispatches syscalls without cloning
+//! the open file, the driver name or the node path.
 
+use droidfuzz_repro::droidfuzz::exec::Broker;
 use droidfuzz_repro::droidfuzz::generate::{random_generate, relational_generate};
 use droidfuzz_repro::droidfuzz::relation::RelationGraph;
-use droidfuzz_repro::droidfuzz::{FuzzerConfig, FuzzingEngine};
+use droidfuzz_repro::droidfuzz::{FuzzerConfig, FuzzingEngine, Supervisor, SupervisorConfig};
 use droidfuzz_repro::fuzzlang::prog::{ArgValue, Prog};
 use droidfuzz_repro::simdevice::catalog;
+use droidfuzz_repro::simdevice::faults::{FaultPlan, FaultProfile};
+use droidfuzz_repro::simdevice::AdbLink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -138,5 +145,61 @@ fn relational_generate_allocates_only_the_program() {
         overhead <= OVERHEAD_PER_CALL,
         "relational_generate allocated {overhead:.3} times per generated call beyond the \
          program itself (budget {OVERHEAD_PER_CALL})"
+    );
+}
+
+/// Programs executed under supervision per measurement.
+const SUPERVISED_PROGS: usize = 3_000;
+
+/// Leading programs run uncounted, to warm the broker's and the kernel's
+/// buffers.
+const SUPERVISED_WARMUP: usize = 500;
+
+/// Allocations per program call inside `Supervisor::supervise`. Measured
+/// at 2.12 on A1 with seed 1; the bound leaves 1.4x headroom. The earlier
+/// device, which tore down and respawned all ten HAL services after every
+/// execution and cloned the open file, driver name and node path on each
+/// dispatched syscall, made 5.19 and fails it.
+const SUPERVISED_ALLOCS_PER_CALL: f64 = 3.0;
+
+#[test]
+fn supervised_execution_stays_within_its_allocation_budget() {
+    let engine = FuzzingEngine::new(catalog::device_a1().boot(), FuzzerConfig::droidfuzz(1));
+    let table = engine.desc_table();
+    let mut rng = StdRng::seed_from_u64(1);
+    let progs: Vec<Prog> =
+        (0..SUPERVISED_PROGS).map(|_| random_generate(table, MAX_CALLS, &mut rng)).collect();
+
+    let mut device = catalog::device_a1().boot();
+    let mut adb = AdbLink::usb();
+    let mut broker = Broker::new();
+    let plan = FaultPlan::for_profile(FaultProfile::Reliable, 1);
+    let mut supervisor = Supervisor::new(plan, SupervisorConfig::default());
+    assert!(supervisor.begin_batch(&mut broker, &mut device));
+
+    let (mut calls, mut allocs) = (0u64, 0u64);
+    for (i, prog) in progs.iter().enumerate() {
+        let (mut run, n) =
+            count_allocs(|| supervisor.supervise(&mut broker, &mut device, &mut adb, table, prog));
+        if i >= SUPERVISED_WARMUP {
+            calls += prog.len() as u64;
+            allocs += n;
+        }
+        // The engine's reboot-on-bug policy, outside the counted call.
+        let outcome = run.outcome.take().expect("a reliable device delivers every outcome");
+        let rebooting = !outcome.bugs.is_empty() || device.is_wedged();
+        broker.recycle(outcome);
+        if rebooting {
+            device.reboot();
+        }
+    }
+    supervisor.end_batch(&mut broker, &mut device);
+
+    let per_call = allocs as f64 / calls as f64;
+    eprintln!("A1: {calls} supervised calls, {allocs} allocations: {per_call:.3} per call");
+    assert!(
+        per_call <= SUPERVISED_ALLOCS_PER_CALL,
+        "Supervisor::supervise allocated {per_call:.3} times per program call \
+         (budget {SUPERVISED_ALLOCS_PER_CALL})"
     );
 }
